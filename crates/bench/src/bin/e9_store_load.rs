@@ -4,9 +4,9 @@
 //! reports throughput, latency, and live storage occupancy — the paper's
 //! space bounds (ABD's `(2f+1)·D` replication vs the adaptive coder's
 //! `(2f+k)·D/k` quiescent cost) observed on a running service rather
-//! than inside the deterministic simulator. A single-lock
-//! [`ThreadedRegister`] baseline runs the same operation stream to show
-//! what per-shard drivers buy over the one-simulation-one-lock runtime.
+//! than inside the deterministic simulator. The sweep's 1-shard row is
+//! the baseline: one driver serializes every key, so the multi-shard
+//! rows show what per-shard drivers buy on the same operation stream.
 //!
 //! ```sh
 //! cargo run --release -p rsb-bench --bin e9_store_load            # full sweep
@@ -119,48 +119,6 @@ fn run_config_cell(config: StoreConfig, scenario: &KeyedScenario) -> (Cell, Stor
         metrics.keys(),
     );
     (cell, store)
-}
-
-/// The same operation stream against one register behind one lock: every
-/// operation, whatever its key, goes through the single simulation of a
-/// [`ThreadedRegister`] — the pre-sharding runtime.
-fn run_single_lock<P: RegisterProtocol + Send + 'static>(
-    proto: P,
-    scenario: &KeyedScenario,
-) -> Cell {
-    let reg = ThreadedRegister::start(proto);
-    let start = Instant::now();
-    let handles: Vec<_> = (0..scenario.clients)
-        .map(|c| {
-            let handle = reg.client();
-            let stream = scenario.client_ops(c);
-            std::thread::spawn(move || {
-                let mut lat = Vec::new();
-                for op in stream {
-                    let t = Instant::now();
-                    match op.action {
-                        KeyedAction::Read => {
-                            handle.read().expect("register is live");
-                        }
-                        KeyedAction::Write(v) => {
-                            handle.write(v).expect("register is live");
-                        }
-                    }
-                    lat.push(t.elapsed().as_nanos() as u64);
-                }
-                lat
-            })
-        })
-        .collect();
-    let mut lat_ns = Vec::with_capacity(scenario.total_ops());
-    for h in handles {
-        lat_ns.extend(h.join().expect("client thread"));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let occupancy = reg.storage_cost().total();
-    let cell = summarize(scenario.total_ops() as u64, secs, lat_ns, occupancy, 1);
-    reg.shutdown();
-    cell
 }
 
 fn cell_row(proto: ProtocolSpec, shards: usize, clients: usize, cell: &Cell) -> Vec<String> {
@@ -570,6 +528,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut best_sharded_kops = 0.0f64;
+    let mut one_shard_kops = 0.0f64;
     let mut showcase: Option<Store> = None;
     for &clients in client_counts {
         let scenario = KeyedScenario::uniform(clients, ops_per_client, keys, 0.5, value_len, seed);
@@ -577,10 +536,14 @@ fn main() {
             for &shards in shard_counts {
                 let (cell, store) = run_store_cell(proto, shards, &scenario);
                 // The headline comparison must be like-for-like: only
-                // cells running the exact scenario the single-lock
-                // baseline will run (same client count, same op stream).
-                if shards > 1 && clients == client_counts[0] {
-                    best_sharded_kops = best_sharded_kops.max(cell.kops());
+                // cells running the exact scenario of the 1-shard
+                // baseline (same client count, same op stream).
+                if clients == client_counts[0] {
+                    if shards == 1 {
+                        one_shard_kops = one_shard_kops.max(cell.kops());
+                    } else {
+                        best_sharded_kops = best_sharded_kops.max(cell.kops());
+                    }
                 }
                 rows.push(cell_row(proto, shards, clients, &cell));
                 // Keep the 8-shard adaptive store for the per-shard table
@@ -598,10 +561,15 @@ fn main() {
         &header,
         &rows,
     );
+    println!(
+        "best multi-shard store: {best_sharded_kops:.1} kops/s vs best 1-shard store: \
+         {one_shard_kops:.1} kops/s  (×{:.2}, same workload: {} clients × {ops_per_client} ops)\n",
+        best_sharded_kops / one_shard_kops.max(1e-9),
+        client_counts[0],
+    );
 
     // Key-popularity skew: zipfian runs across shard counts, with the
-    // event-driven scheduler's steal counters. The `steal=off` control
-    // shows what the work-stealing drivers add on top of ready queues.
+    // event-driven scheduler's steal counters.
     let zipf_clients = client_counts[0];
     let zipf = KeyedScenario::uniform(zipf_clients, ops_per_client, keys, 0.5, value_len, seed + 1)
         .with_zipf(0.99);
@@ -631,16 +599,6 @@ fn main() {
             &zipf,
         );
     }
-    zipf_run(
-        "zipf steal=off",
-        StoreConfig::uniform(
-            *zipf_shards.last().unwrap(),
-            ProtocolSpec::Adaptive,
-            zipf_reg,
-        )
-        .with_work_stealing(false),
-        &zipf,
-    );
     let hot = KeyedScenario::uniform(zipf_clients, ops_per_client, keys, 0.5, value_len, seed + 2)
         .with_hot_spot(2, 0.8);
     zipf_run(
@@ -702,32 +660,6 @@ fn main() {
         store.shutdown();
     }
 
-    // The single-lock baseline: same stream, one register, one lock.
-    let base_scenario =
-        KeyedScenario::uniform(client_counts[0], ops_per_client, keys, 0.5, value_len, seed);
-    let reg = RegisterConfig::paper(1, 2, value_len).expect("valid parameters");
-    let mut base_rows = Vec::new();
-    let mut base_best_kops = 0.0f64;
-    for &proto in &protocols {
-        let cell = match proto {
-            ProtocolSpec::Abd => run_single_lock(Abd::new(reg), &base_scenario),
-            ProtocolSpec::Adaptive => run_single_lock(Adaptive::new(reg), &base_scenario),
-            _ => unreachable!("sweep uses abd/adaptive"),
-        };
-        base_best_kops = base_best_kops.max(cell.kops());
-        base_rows.push(cell_row(proto, 1, client_counts[0], &cell));
-    }
-    print_table(
-        "single-lock ThreadedRegister baseline (same op stream, one register)",
-        &header,
-        &base_rows,
-    );
-    println!(
-        "best multi-shard store: {best_sharded_kops:.1} kops/s vs best single-lock register: \
-         {base_best_kops:.1} kops/s  (×{:.1}, same workload: {} clients × {ops_per_client} ops)",
-        best_sharded_kops / base_best_kops.max(1e-9),
-        client_counts[0],
-    );
     println!(
         "paper mapping: occ_KiB per key tracks the space bounds — ABD stores (2f+1)·D per \
          register, the adaptive coder (2f+k)·D/k when quiescent."

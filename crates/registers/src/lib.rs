@@ -58,7 +58,4 @@ pub use common::{
 };
 pub use protocol::RegisterProtocol;
 pub use safe::Safe;
-pub use threaded::{
-    spawn_driver, ClientHandle, CompletionSlot, DriverCore, OpOutcome, ReadyQueue, RegisterCell,
-    ThreadedError, ThreadedRegister, WorkGroup,
-};
+pub use threaded::{CompletionSlot, OpOutcome, ReadyQueue, RegisterCell, ThreadedError, WorkGroup};

@@ -27,8 +27,6 @@ pub mod ranks {
     pub const SHARD_MAP: i64 = 0;
     /// `Shard.govern_lock`: governor sweep serialization.
     pub const GOVERN: i64 = 10;
-    /// `DriverCore.core_state`: a driver's guarded state.
-    pub const DRIVER_CORE: i64 = 15;
     /// `Shard.slots`: the append-only slot table.
     pub const SLOT_TABLE: i64 = 20;
     /// `KeySlot.state`: per-key simulation state.
@@ -64,7 +62,6 @@ pub fn rank_table() -> &'static [(i64, &'static str)] {
     &[
         (ranks::SHARD_MAP, "shard_map"),
         (ranks::GOVERN, "govern"),
-        (ranks::DRIVER_CORE, "driver_core"),
         (ranks::SLOT_TABLE, "slot_table"),
         (ranks::KEY_STATE, "key_state"),
         (ranks::NET_DEAD, "net_dead"),

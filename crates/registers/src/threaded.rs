@@ -1,71 +1,41 @@
-//! A thread-based runtime: run any [`RegisterProtocol`] with real
-//! concurrent clients.
+//! The store runtime's building blocks: the scheduling, parking and
+//! completion pieces the sharded store in `rsb-store` composes into its
+//! driver pool.
 //!
-//! The deterministic simulator is the right tool for experiments (it can
-//! realize adversarial schedules), but it is also useful to see the
-//! protocols run under genuine parallelism. Two reusable pieces live here
-//! and are shared with the sharded store runtime in `rsb-store`:
-//!
-//! * [`DriverCore`] — the lock + condvar + stop-flag cell a *network
-//!   driver* thread and its clients rendezvous on;
+//! * [`ReadyQueue`] — a queue of key slots with enabled simulator
+//!   events, so a driver does O(enabled) work instead of rescanning
+//!   every materialized key;
+//! * [`WorkGroup`] — the rendezvous for the pool of driver threads
+//!   sharing those queues: lost-wakeup-free parking, and a stop request
+//!   every parked driver observes promptly;
+//! * [`RegisterCell`] — one key's simulation plus the completion slots
+//!   of its in-flight operations;
 //! * [`CompletionSlot`] — a per-operation completion cell a client can
-//!   either block on (condvar) or poll as a future (waker), filled by the
-//!   driver when the operation returns inside the simulation;
-//! * [`ReadyQueue`] — the event-driven scheduling companion of
-//!   [`DriverCore`] for *multi-key* drivers: a queue of key slots with
-//!   enabled simulator events, so a driver batch does O(enabled) work
-//!   instead of rescanning every materialized key;
-//! * [`WorkGroup`] — the rendezvous for a *pool* of driver threads
-//!   sharing ready queues (the sharded store's work-stealing drivers):
-//!   lost-wakeup-free parking, and a stop request every parked driver
-//!   observes promptly.
-//!
-//! [`ThreadedRegister`] composes them for a single register: the driver
-//! thread plays a fair scheduler over one simulation, while any number of
-//! application threads perform blocking `read`/`write` operations through
-//! [`ClientHandle`]s.
+//!   either block on (condvar) or poll as a future (waker), filled by a
+//!   driver when the operation returns inside the simulation.
 //!
 //! Asynchrony is real here: the interleaving of RMW applies/deliveries
 //! against invocations depends on OS scheduling — but safety never does
 //! (that is the point of the protocols).
-//!
-//! # Example
-//!
-//! ```
-//! use rsb_registers::{Adaptive, RegisterConfig};
-//! use rsb_registers::threaded::ThreadedRegister;
-//! use rsb_coding::Value;
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let reg = ThreadedRegister::start(Adaptive::new(RegisterConfig::paper(1, 2, 64)?));
-//! let w = reg.client();
-//! let r = reg.client();
-//! let v = Value::seeded(1, 64);
-//! w.write(v.clone())?;
-//! assert_eq!(r.read()?, v);
-//! reg.shutdown();
-//! # Ok(())
-//! # }
-//! ```
 
-use crate::lockorder::{ranks, tracked_lock, Tracked};
+use crate::lockorder::{ranks, tracked_lock};
 use crate::protocol::RegisterProtocol;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex};
 // Under the `mc` feature the ReadyQueue's lock comes from the
 // rsb-mcsync interleaving checker (a transparent passthrough outside a
 // model run), so `crates/mc` can exhaustively explore the steal-half
 // protocol. Everything else in this file stays on parking_lot.
 #[cfg(not(feature = "mc"))]
 use parking_lot as ready_sync;
-use rsb_coding::Value;
 use rsb_fpsm::{ClientId, OpId, OpRequest, OpResult, Simulation};
 #[cfg(feature = "mc")]
 use rsb_mcsync::sync as ready_sync;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::time::Duration;
 
-/// Errors from the threaded runtime.
+/// Errors a completion slot carries in place of a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadedError {
     /// The runtime has been shut down.
@@ -84,66 +54,6 @@ impl std::fmt::Display for ThreadedError {
 }
 
 impl std::error::Error for ThreadedError {}
-
-/// The rendezvous cell between one driver thread and its clients: a guarded
-/// state `T`, a progress condvar the driver parks on while idle, and a stop
-/// flag.
-///
-/// [`ThreadedRegister`] guards a single simulation with one of these; the
-/// sharded store guards a whole shard (many key simulations) per core —
-/// that per-shard granularity, instead of one global lock, is what the
-/// store's scalability comes from.
-#[derive(Debug)]
-pub struct DriverCore<T> {
-    core_state: Mutex<T>,
-    progress: Condvar,
-    stop: AtomicBool,
-}
-
-impl<T> DriverCore<T> {
-    /// Creates a core around the guarded state.
-    pub fn new(state: T) -> Self {
-        DriverCore {
-            core_state: Mutex::new(state),
-            progress: Condvar::new(),
-            stop: AtomicBool::new(false),
-        }
-    }
-
-    /// Locks the guarded state (through the lock-hierarchy checker; see
-    /// [`crate::lockorder`]).
-    pub fn lock(&self) -> Tracked<MutexGuard<'_, T>> {
-        tracked_lock(ranks::DRIVER_CORE, "driver_core", || self.core_state.lock())
-    }
-
-    /// Wakes the driver (and anyone else parked on the progress condvar).
-    pub fn notify(&self) {
-        self.progress.notify_all();
-    }
-
-    /// Parks on the progress condvar with the guard relinquished, until
-    /// notified.
-    pub fn wait(&self, guard: &mut Tracked<MutexGuard<'_, T>>) {
-        self.progress.wait(guard.raw_mut());
-    }
-
-    /// Requests the driver to stop, and wakes it.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        // Taking the state lock orders this notify after any driver's
-        // check-stop-then-wait sequence (the driver holds the lock from
-        // its check until the wait releases it), so an untimed wait can
-        // never miss the stop signal.
-        let guard = tracked_lock(ranks::DRIVER_CORE, "driver_core", || self.core_state.lock());
-        drop(guard);
-        self.progress.notify_all();
-    }
-
-    /// Whether a stop has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-}
 
 /// Scheduling state of one [`ReadyQueue`] slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,18 +184,18 @@ impl ReadyQueue {
 
 /// The rendezvous of a pool of driver threads over a set of ready queues.
 ///
-/// Parking is lost-wakeup-free by the same lock-ordering argument as
-/// [`DriverCore`]: a parking driver re-checks for work *under the group
-/// lock*, and both [`WorkGroup::notify`] and [`WorkGroup::request_stop`]
-/// acquire that lock before signalling, so a wakeup issued after the
-/// check cannot be missed — and a driver parked on an empty ready queue
-/// observes shutdown promptly, with no timed waits anywhere.
+/// Parking is lost-wakeup-free: a parking driver re-checks for work
+/// *under the group lock*, and both [`WorkGroup::notify`] and
+/// [`WorkGroup::request_stop`] acquire that lock before signalling, so a
+/// wakeup issued after the check cannot be missed — and a driver parked
+/// on an empty ready queue observes shutdown promptly. A park may carry
+/// a timeout (for periodic duties on an idle store); the timeout only
+/// bounds the wait, it is never what delivers work or a stop.
 #[derive(Debug, Default)]
 pub struct WorkGroup {
     mu: Mutex<()>,
     cv: Condvar,
     stop: AtomicBool,
-    broadcast: bool,
     /// Drivers that announced intent to park (eventcount fast path):
     /// while this is zero, [`WorkGroup::notify`] is one atomic load.
     sleepers: std::sync::atomic::AtomicUsize,
@@ -293,27 +203,13 @@ pub struct WorkGroup {
 
 impl WorkGroup {
     /// Creates a group whose [`WorkGroup::notify`] wakes a single parked
-    /// driver — correct when every driver can run any queue's work
-    /// (work-stealing pools), and avoids thundering-herd wakeups on
-    /// every submission.
+    /// driver — correct because every driver can run any queue's work,
+    /// and it avoids thundering-herd wakeups on every submission.
     pub fn new() -> Self {
         WorkGroup::default()
     }
 
-    /// Creates a group whose [`WorkGroup::notify`] wakes *every* parked
-    /// driver. Required when drivers serve disjoint queues (stealing
-    /// disabled): a single wakeup could land on a driver whose own queue
-    /// is empty, stranding the work. Spuriously woken drivers re-check
-    /// their predicate and re-park immediately.
-    pub fn new_broadcast() -> Self {
-        WorkGroup {
-            broadcast: true,
-            ..WorkGroup::default()
-        }
-    }
-
-    /// Wakes a parked driver (after enqueueing work) — one driver, or
-    /// all of them for a [`WorkGroup::new_broadcast`] group.
+    /// Wakes one parked driver (after enqueueing work).
     ///
     /// Fast path: when no driver has announced intent to park, this is a
     /// single atomic load. The SeqCst pairing with
@@ -337,59 +233,32 @@ impl WorkGroup {
         }
         let guard = tracked_lock(ranks::WORKGROUP, "workgroup", || self.mu.lock());
         drop(guard);
-        if self.broadcast {
-            self.cv.notify_all();
-        } else {
-            self.cv.notify_one();
-        }
+        self.cv.notify_one();
     }
 
-    /// Parks the calling driver until notified — unless `has_work`
-    /// reports pending work or a stop was requested, both re-checked
-    /// after announcing intent to park (see [`WorkGroup::notify`]) and
-    /// again under the group lock (so a notify issued between the check
-    /// and the wait cannot be missed).
-    pub fn park_unless(&self, has_work: impl Fn() -> bool) {
+    /// Parks the calling driver until notified, or until `timeout` passes
+    /// when one is given — unless `has_work` reports pending work or a
+    /// stop was requested, both re-checked after announcing intent to
+    /// park (see [`WorkGroup::notify`]) and again under the group lock
+    /// (so a notify issued between the check and the wait cannot be
+    /// missed). The timeout is for drivers that must run periodic duties
+    /// (e.g. wall-clock key aging) on a fully idle store, where no
+    /// submission will ever notify them.
+    pub fn park_unless(&self, timeout: Option<Duration>, has_work: impl Fn() -> bool) {
         // audit:allow(atomics-seqcst) — the park announcement must be
         // totally ordered against the notifier's fast-path load, or a
         // sleeper and an enqueue could both go unobserved (lost wakeup);
         // see `WorkGroup::notify`.
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let mut guard = tracked_lock(ranks::WORKGROUP, "workgroup", || self.mu.lock());
-        if self.is_stopped() || has_work() {
-            drop(guard);
-            // audit:allow(atomics-seqcst) — symmetric with the announcement
-            // above; keeps the sleeper count in the same total order.
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
+        if !self.is_stopped() && !has_work() {
+            match timeout {
+                Some(timeout) => {
+                    let _ = self.cv.wait_for(guard.raw_mut(), timeout);
+                }
+                None => self.cv.wait(guard.raw_mut()),
+            }
         }
-        self.cv.wait(guard.raw_mut());
-        drop(guard);
-        // audit:allow(atomics-seqcst) — symmetric with the announcement
-        // above; keeps the sleeper count in the same total order.
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Like [`WorkGroup::park_unless`], but wakes after `timeout` even
-    /// with no notify — for drivers that must run periodic duties (e.g.
-    /// wall-clock key aging) on a fully idle store, where no submission
-    /// will ever notify them. Same lost-wakeup-free protocol; the timeout
-    /// only adds an upper bound on how long the park lasts.
-    pub fn park_timeout_unless(&self, timeout: std::time::Duration, has_work: impl Fn() -> bool) {
-        // audit:allow(atomics-seqcst) — the park announcement must be
-        // totally ordered against the notifier's fast-path load, or a
-        // sleeper and an enqueue could both go unobserved (lost wakeup);
-        // see `WorkGroup::notify`.
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let mut guard = tracked_lock(ranks::WORKGROUP, "workgroup", || self.mu.lock());
-        if self.is_stopped() || has_work() {
-            drop(guard);
-            // audit:allow(atomics-seqcst) — symmetric with the announcement
-            // above; keeps the sleeper count in the same total order.
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            return;
-        }
-        let _ = self.cv.wait_for(guard.raw_mut(), timeout);
         drop(guard);
         // audit:allow(atomics-seqcst) — symmetric with the announcement
         // above; keeps the sleeper count in the same total order.
@@ -408,60 +277,6 @@ impl WorkGroup {
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::Acquire)
     }
-}
-
-/// Spawns a named driver thread over a [`DriverCore`].
-///
-/// The driver repeatedly calls `step` under the lock; `step` returns
-/// whether it made progress. When it did not, the driver parks on the
-/// progress condvar until a submitter calls [`DriverCore::notify`] — no
-/// timed polling: work can only be created under the lock the driver
-/// holds from its `step` through the wait's release, and
-/// [`DriverCore::request_stop`] takes that lock before notifying, so no
-/// wakeup is lost. After a stop request the driver runs `on_stop` under
-/// the lock — the place to fail pending completions so no client hangs —
-/// and exits.
-///
-/// # Panics
-///
-/// Panics if the OS refuses to spawn a thread.
-pub fn spawn_driver<T, F, G>(
-    name: &str,
-    core: Arc<DriverCore<T>>,
-    mut step: F,
-    on_stop: G,
-) -> std::thread::JoinHandle<()>
-where
-    T: Send + 'static,
-    F: FnMut(&mut T) -> bool + Send + 'static,
-    G: FnOnce(&mut T) + Send + 'static,
-{
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || {
-            loop {
-                let mut state = core.lock();
-                if !step(&mut state) {
-                    // Re-checked under the lock: request_stop's notify
-                    // is ordered after this check (it takes the lock),
-                    // so either we see the flag here or the wait below
-                    // is woken by it.
-                    if core.is_stopped() {
-                        break;
-                    }
-                    core.wait(&mut state);
-                }
-                if core.is_stopped() {
-                    break;
-                }
-            }
-            let mut state = core.lock();
-            on_stop(&mut state);
-        })
-        // audit:allow(panic-path) — thread spawn fails only when the OS is
-        // out of resources at startup; there is no driver to hand back, so
-        // aborting is the only honest outcome.
-        .expect("spawning a driver thread")
 }
 
 /// The result type a completion slot carries.
@@ -538,8 +353,8 @@ impl CompletionSlot {
     }
 }
 
-/// The state a [`ThreadedRegister`]'s driver guards: the simulation plus
-/// the completion slots of in-flight operations.
+/// One key's register: the hosted simulation plus the completion slots
+/// of its in-flight operations.
 #[derive(Debug)]
 pub struct RegisterCell<P: RegisterProtocol + 'static> {
     /// The hosted simulation.
@@ -557,20 +372,20 @@ impl<P: RegisterProtocol + 'static> RegisterCell<P> {
         }
     }
 
-    /// Executes up to `budget` enabled events; returns how many ran.
-    /// Call [`RegisterCell::complete_pending`] (or the `_with` variant)
-    /// afterwards to fill the slots of operations that returned.
+    /// Executes enabled events until none remains; returns how many ran.
+    /// The drain terminates because no new operation can be invoked
+    /// meanwhile (the caller holds the cell), so the backlog is bounded
+    /// by the in-flight operations. Call
+    /// [`RegisterCell::complete_pending_with`] afterwards to fill the
+    /// slots of operations that returned.
     ///
     /// # Panics
     ///
     /// Panics if the simulation rejects an event it reported enabled
     /// (a bug in the protocol machinery, not a runtime condition).
-    pub fn step_events(&mut self, budget: usize) -> usize {
+    pub fn step_all(&mut self) -> usize {
         let mut stepped = 0;
-        while stepped < budget {
-            let Some(ev) = self.sim.first_enabled_event() else {
-                break;
-            };
+        while let Some(ev) = self.sim.first_enabled_event() {
             // audit:allow(panic-path) — `ev` came from `first_enabled_event`
             // one line up with no intervening mutation, so `step` accepting it
             // is an invariant of the simulator, not a runtime condition.
@@ -585,14 +400,9 @@ impl<P: RegisterProtocol + 'static> RegisterCell<P> {
         self.sim.has_enabled_event()
     }
 
-    /// Fills the slots of every operation that has returned.
-    pub fn complete_pending(&mut self) {
-        self.complete_pending_with(|_, _| {});
-    }
-
-    /// Like [`RegisterCell::complete_pending`], additionally visiting each
-    /// completed `(op, result)` pair (the hook shard metrics and per-op
-    /// latency accounting hang off).
+    /// Fills the slots of every operation that has returned, visiting
+    /// each completed `(op, result)` pair first (the hook shard metrics
+    /// and per-op latency accounting hang off).
     pub fn complete_pending_with(&mut self, mut visit: impl FnMut(OpId, &OpResult)) {
         let sim = &self.sim;
         self.pending.retain(|(op, slot)| {
@@ -639,212 +449,37 @@ impl<P: RegisterProtocol + 'static> RegisterCell<P> {
     }
 }
 
-/// A live register service backed by a driver thread.
-pub struct ThreadedRegister<P: RegisterProtocol + 'static> {
-    proto: P,
-    core: Arc<DriverCore<RegisterCell<P>>>,
-    driver: Option<std::thread::JoinHandle<()>>,
-}
-
-impl<P: RegisterProtocol + 'static> std::fmt::Debug for ThreadedRegister<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedRegister")
-            .field("protocol", &self.proto.name())
-            .field("driver_running", &self.driver.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: RegisterProtocol + 'static> ThreadedRegister<P> {
-    /// Starts the service: builds the simulation and spawns the driver.
-    pub fn start(proto: P) -> Self {
-        let core = Arc::new(DriverCore::new(RegisterCell::<P>::new(proto.new_sim())));
-        let driver = spawn_driver(
-            "register-driver",
-            Arc::clone(&core),
-            |cell: &mut RegisterCell<P>| {
-                if cell.step_events(1) > 0 {
-                    cell.complete_pending();
-                    true
-                } else {
-                    false
-                }
-            },
-            |cell: &mut RegisterCell<P>| {
-                cell.complete_pending();
-                cell.fail_pending(&ThreadedError::ShutDown);
-            },
-        );
-        ThreadedRegister {
-            proto,
-            core,
-            driver: Some(driver),
-        }
-    }
-
-    /// Creates a new client handle (usable from any thread).
-    pub fn client(&self) -> ClientHandle<P> {
-        let mut cell = self.core.lock();
-        let id = self.proto.add_client(&mut cell.sim);
-        drop(cell);
-        ClientHandle {
-            core: Arc::clone(&self.core),
-            id,
-        }
-    }
-
-    /// Crashes a base object (fault injection).
-    pub fn crash_object(&self, obj: rsb_fpsm::ObjectId) {
-        self.core.lock().sim.crash_object(obj);
-    }
-
-    /// Current storage cost snapshot.
-    pub fn storage_cost(&self) -> rsb_fpsm::StorageCost {
-        self.core.lock().sim.storage_cost()
-    }
-
-    /// Peak total storage in bits observed so far.
-    pub fn peak_storage_bits(&self) -> u64 {
-        self.core.lock().sim.peak_storage_bits()
-    }
-
-    /// Stops the driver thread. Idempotent; also called on drop.
-    pub fn shutdown(mut self) {
-        self.stop_driver();
-    }
-
-    fn stop_driver(&mut self) {
-        self.core.request_stop();
-        if let Some(h) = self.driver.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<P: RegisterProtocol + 'static> Drop for ThreadedRegister<P> {
-    fn drop(&mut self) {
-        self.stop_driver();
-    }
-}
-
-/// A blocking client of a [`ThreadedRegister`].
-pub struct ClientHandle<P: RegisterProtocol + 'static> {
-    core: Arc<DriverCore<RegisterCell<P>>>,
-    id: ClientId,
-}
-
-impl<P: RegisterProtocol + 'static> std::fmt::Debug for ClientHandle<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientHandle")
-            .field("id", &self.id)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: RegisterProtocol + 'static> ClientHandle<P> {
-    /// The client id inside the simulation.
-    pub fn id(&self) -> ClientId {
-        self.id
-    }
-
-    /// Performs a blocking `write(v)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the runtime is shut down or the invocation is rejected
-    /// (e.g., re-entrant use of one handle from two threads).
-    pub fn write(&self, value: Value) -> Result<(), ThreadedError> {
-        self.run_op(OpRequest::Write(value)).map(|_| ())
-    }
-
-    /// Performs a blocking `read()`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClientHandle::write`].
-    pub fn read(&self) -> Result<Value, ThreadedError> {
-        match self.run_op(OpRequest::Read)? {
-            OpResult::Read(v) => Ok(v),
-            // audit:allow(panic-path) — the driver answers a `Read` request
-            // with a `Read` result by construction; a write ack here is a
-            // protocol-machinery bug worth crashing on.
-            OpResult::Write => unreachable!("read returned a write ack"),
-        }
-    }
-
-    fn run_op(&self, req: OpRequest) -> Result<OpResult, ThreadedError> {
-        let slot = {
-            let mut cell = self.core.lock();
-            if self.core.is_stopped() {
-                return Err(ThreadedError::ShutDown);
-            }
-            let (_, slot) = cell.submit(self.id, req)?;
-            slot
-        };
-        // Wake the driver, then wait on the slot (not the sim lock).
-        self.core.notify();
-        slot.wait()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Abd, Adaptive, RegisterConfig, Safe};
+    use crate::{Abd, RegisterConfig};
+    use rsb_coding::Value;
 
     #[test]
-    fn concurrent_threads_adaptive() {
-        let reg = ThreadedRegister::start(Adaptive::new(RegisterConfig::paper(1, 2, 32).unwrap()));
-        let writers: Vec<_> = (0..4).map(|_| reg.client()).collect();
-        let handles: Vec<_> = writers
-            .into_iter()
+    fn step_all_drains_every_enabled_event() {
+        let proto = Abd::new(RegisterConfig::new(3, 1, 1, 16).unwrap());
+        let mut cell = RegisterCell::<Abd>::new(proto.new_sim());
+        let clients: Vec<ClientId> = (0..4).map(|_| proto.add_client(&mut cell.sim)).collect();
+        let slots: Vec<Arc<CompletionSlot>> = clients
+            .iter()
             .enumerate()
-            .map(|(i, c)| {
-                std::thread::spawn(move || {
-                    for round in 0..5u64 {
-                        c.write(Value::seeded(i as u64 * 100 + round, 32)).unwrap();
-                    }
-                })
+            .map(|(i, &c)| {
+                let req = if i % 2 == 0 {
+                    OpRequest::Write(Value::seeded(i as u64 + 1, 16))
+                } else {
+                    OpRequest::Read
+                };
+                cell.submit(c, req).unwrap().1
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
+        assert!(cell.has_enabled());
+        assert!(cell.step_all() > 0);
+        assert!(!cell.has_enabled(), "one call leaves no enabled event");
+        cell.complete_pending_with(|_, _| {});
+        assert!(cell.pending.is_empty());
+        for slot in &slots {
+            assert!(matches!(slot.try_outcome(), Some(Ok(_))), "slot filled");
         }
-        let reader = reg.client();
-        let got = reader.read().unwrap();
-        assert_eq!(got.len(), 32);
-        reg.shutdown();
-    }
-
-    #[test]
-    fn abd_roundtrip_threaded() {
-        let reg = ThreadedRegister::start(Abd::new(RegisterConfig::new(3, 1, 1, 16).unwrap()));
-        let c = reg.client();
-        let v = Value::seeded(9, 16);
-        c.write(v.clone()).unwrap();
-        assert_eq!(c.read().unwrap(), v);
-        reg.shutdown();
-    }
-
-    #[test]
-    fn safe_register_with_crash_threaded() {
-        let reg = ThreadedRegister::start(Safe::new(RegisterConfig::paper(1, 2, 16).unwrap()));
-        reg.crash_object(rsb_fpsm::ObjectId(0));
-        let c = reg.client();
-        let v = Value::seeded(2, 16);
-        c.write(v.clone()).unwrap();
-        let got = c.read().unwrap();
-        // Safe semantics: with no concurrent writes the value must match.
-        assert_eq!(got, v);
-        reg.shutdown();
-    }
-
-    #[test]
-    fn shutdown_rejects_new_ops() {
-        let reg = ThreadedRegister::start(Abd::new(RegisterConfig::new(3, 1, 1, 8).unwrap()));
-        let c = reg.client();
-        reg.shutdown();
-        assert_eq!(c.read().unwrap_err(), ThreadedError::ShutDown);
     }
 
     #[test]
@@ -871,15 +506,29 @@ mod tests {
     }
 
     #[test]
-    fn park_timeout_unless_wakes_without_notify() {
-        let group = WorkGroup::new();
+    fn park_unless_wakes_on_timeout_work_or_stop() {
+        let group = Arc::new(WorkGroup::new());
         let start = std::time::Instant::now();
-        group.park_timeout_unless(std::time::Duration::from_millis(10), || false);
-        assert!(start.elapsed() >= std::time::Duration::from_millis(5));
+        group.park_unless(Some(Duration::from_millis(10)), || false);
+        assert!(start.elapsed() >= Duration::from_millis(5));
         // Pending work skips the park entirely.
         let start = std::time::Instant::now();
-        group.park_timeout_unless(std::time::Duration::from_mins(1), || true);
-        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        group.park_unless(Some(Duration::from_mins(1)), || true);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        // An untimed park is released by a stop request.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parker = {
+            let group = Arc::clone(&group);
+            std::thread::spawn(move || {
+                group.park_unless(None, || false);
+                tx.send(()).unwrap();
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        group.request_stop();
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("request_stop releases an untimed park");
+        parker.join().unwrap();
     }
 
     #[test]

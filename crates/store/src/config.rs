@@ -153,8 +153,6 @@ impl ListenSpec {
 pub enum StoreConfigError {
     /// The shard list is empty.
     NoShards,
-    /// The driver batch size is zero.
-    ZeroBatch,
     /// A truncate-after-N history bound of zero records.
     ZeroHistoryBound,
     /// An idle-after eviction threshold of zero ticks.
@@ -182,7 +180,6 @@ impl std::fmt::Display for StoreConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreConfigError::NoShards => write!(f, "a store needs at least one shard"),
-            StoreConfigError::ZeroBatch => write!(f, "driver batch size must be at least 1"),
             StoreConfigError::ZeroHistoryBound => {
                 write!(f, "truncate-after-N needs a bound of at least 1 record")
             }
@@ -240,15 +237,8 @@ impl std::error::Error for StoreConfigError {}
 pub struct StoreConfig {
     /// Per-shard specifications; the keyspace is hashed over their count.
     pub shards: Vec<ShardSpec>,
-    /// Maximum simulator events a driver executes per key per ready-queue
-    /// pop. Larger batches amortize queue traffic; smaller batches reduce
-    /// completion latency jitter.
-    pub batch: usize,
     /// Per-key operation-history bound.
     pub history: HistoryPolicy,
-    /// Whether an idle shard driver steals ready keys from loaded
-    /// neighbors (flattens zipfian skew; on by default).
-    pub work_stealing: bool,
     /// How the driver pool reclaims memory from cold keys.
     pub eviction: EvictionPolicy,
     /// The TCP service surface, if any. `None` (the default) means
@@ -268,9 +258,6 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// Default driver batch size.
-    pub const DEFAULT_BATCH: usize = 64;
-
     /// Default flight-recorder window.
     pub const DEFAULT_RECORDER_CAPACITY: usize = 1024;
 
@@ -279,9 +266,7 @@ impl StoreConfig {
     pub fn uniform(shard_count: usize, protocol: ProtocolSpec, register: RegisterConfig) -> Self {
         StoreConfig {
             shards: vec![ShardSpec { protocol, register }; shard_count],
-            batch: Self::DEFAULT_BATCH,
             history: HistoryPolicy::Unbounded,
-            work_stealing: true,
             eviction: EvictionPolicy::Manual,
             listen: None,
             recorder_capacity: Self::DEFAULT_RECORDER_CAPACITY,
@@ -289,21 +274,9 @@ impl StoreConfig {
         }
     }
 
-    /// Overrides the driver batch size.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Overrides the per-key history policy.
     pub fn with_history(mut self, history: HistoryPolicy) -> Self {
         self.history = history;
-        self
-    }
-
-    /// Enables or disables work-stealing across shard drivers.
-    pub fn with_work_stealing(mut self, work_stealing: bool) -> Self {
-        self.work_stealing = work_stealing;
         self
     }
 
@@ -341,17 +314,13 @@ impl StoreConfig {
     ///
     /// # Errors
     ///
-    /// Rejects an empty shard list, a zero batch size, a zero
-    /// truncate-after-N bound, a zero idle-eviction threshold, an
+    /// Rejects an empty shard list, a zero truncate-after-N bound, a zero idle-eviction threshold, an
     /// occupancy policy whose low watermark exceeds its high watermark,
     /// a listen section with a zero backlog or an unparseable address,
     /// and a zero-capacity flight recorder.
     pub fn validate(&self) -> Result<(), StoreConfigError> {
         if self.shards.is_empty() {
             return Err(StoreConfigError::NoShards);
-        }
-        if self.batch == 0 {
-            return Err(StoreConfigError::ZeroBatch);
         }
         if self.history == HistoryPolicy::TruncateAfter(0) {
             return Err(StoreConfigError::ZeroHistoryBound);
@@ -401,10 +370,6 @@ mod tests {
         empty.shards.clear();
         assert_eq!(empty.validate(), Err(StoreConfigError::NoShards));
         assert_eq!(
-            cfg.clone().with_batch(0).validate(),
-            Err(StoreConfigError::ZeroBatch)
-        );
-        assert_eq!(
             cfg.clone()
                 .with_history(HistoryPolicy::TruncateAfter(0))
                 .validate(),
@@ -416,7 +381,6 @@ mod tests {
         );
         assert!(cfg
             .with_history(HistoryPolicy::TruncateOnQuiescence)
-            .with_work_stealing(false)
             .validate()
             .is_ok());
     }

@@ -273,7 +273,6 @@ struct ShardCore<P: RegisterProtocol + Send + Sync + 'static> {
     recorder: Arc<FlightRecorder>,
     policy: HistoryPolicy,
     eviction: EvictionPolicy,
-    batch: usize,
     /// Optional wall-clock idle-aging bound: keys untouched this long
     /// are sweep-eligible even with a frozen tick clock (see
     /// [`StoreConfig::with_idle_wall_clock`](crate::StoreConfig::with_idle_wall_clock)).
@@ -531,12 +530,10 @@ where
 
     /// One ready key's turn, with the slot already popped (owned by the
     /// caller): drain *every* enabled simulator event for the key under
-    /// a single lock hold — coalesced stepping. PR 7 stamped phases and
-    /// ticked once per `batch`-sized pop; draining the whole key costs
-    /// one exec-start stamp, one completion flush, one history pass, and
-    /// one tick however many batch-loads the backlog needed. No new
-    /// events can appear while the key lock is held, so the drain
-    /// terminates (the backlog is bounded by in-flight ops).
+    /// a single lock hold ([`RegisterCell::step_all`]) — coalesced
+    /// stepping. Draining the whole key costs one exec-start stamp, one
+    /// completion flush, one history pass, and one tick however large
+    /// the backlog.
     fn run_token(&self, token: usize) {
         let key_slot =
             Arc::clone(&tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token]);
@@ -551,15 +548,7 @@ where
                 for entry in &mut kc.inflight {
                     entry.exec_start.get_or_insert(exec_start);
                 }
-                let mut stepped = 0;
-                loop {
-                    let ran = kc.cell.step_events(self.batch);
-                    stepped += ran;
-                    if ran < self.batch {
-                        break; // budget unspent ⇒ no enabled events left
-                    }
-                }
-                if stepped > 0 {
+                if kc.cell.step_all() > 0 {
                     let counters = &self.counters;
                     let inflight = &mut kc.inflight;
                     let done = Instant::now();
@@ -754,18 +743,10 @@ where
         // under each key lock (see `submit`), so a pending op either
         // landed before this sweep's key-lock acquisition (failed here)
         // or its submitter observes the stop and cleans up itself.
-        let done = Instant::now();
         for slot in tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read()).iter() {
             let mut state = tracked_lock(ranks::KEY_STATE, "key_state", || slot.state.lock());
             if let KeyState::Live(kc) = &mut *state {
-                // Flush results that are ready, then fail what remains so
-                // no client blocks on a dead shard.
-                let counters = &self.counters;
-                let inflight = &mut kc.inflight;
-                kc.cell
-                    .complete_pending_with(|op, r| note_completed(counters, inflight, op, r, done));
-                kc.cell.fail_pending(&ThreadedError::ShutDown);
-                kc.inflight.clear();
+                self.shut_down_key(kc);
             }
         }
     }
@@ -1005,7 +986,6 @@ pub(crate) fn build(spec: &ShardSpec, parts: EngineParts) -> Arc<dyn ShardEngine
 /// `shard` is the shard's index within the store; `recorder` the
 /// store-wide flight recorder.
 pub(crate) struct EngineParts {
-    pub(crate) batch: usize,
     pub(crate) policy: HistoryPolicy,
     pub(crate) eviction: EvictionPolicy,
     pub(crate) idle_wall_clock: Option<std::time::Duration>,
@@ -1035,7 +1015,6 @@ where
         recorder: parts.recorder,
         policy: parts.policy,
         eviction: parts.eviction,
-        batch: parts.batch,
         idle_wall_clock: parts.idle_wall_clock,
         epoch: Instant::now(),
         name,

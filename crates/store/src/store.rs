@@ -205,7 +205,6 @@ fn spawn_pool_driver(
     home: usize,
     shards: Vec<Arc<dyn ShardEngine>>,
     group: Arc<WorkGroup>,
-    work_stealing: bool,
     idle_park: Option<std::time::Duration>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
@@ -228,20 +227,18 @@ fn spawn_pool_driver(
                 // steal a batch of ready keys from a neighbor.
                 let evicted = shards[home].govern(true);
                 let mut stole = false;
-                if work_stealing {
-                    for offset in 1..n {
-                        let victim = (home + offset) % n;
-                        let tokens = shards[victim].steal_batch();
-                        if !tokens.is_empty() {
-                            // Thief-side accounting also lands before the
-                            // stolen keys run, mirroring the victim side.
-                            for _ in &tokens {
-                                shards[home].note_steal();
-                            }
-                            shards[victim].run_tokens(tokens);
-                            stole = true;
-                            break;
+                for offset in 1..n {
+                    let victim = (home + offset) % n;
+                    let tokens = shards[victim].steal_batch();
+                    if !tokens.is_empty() {
+                        // Thief-side accounting also lands before the
+                        // stolen keys run, mirroring the victim side.
+                        for _ in &tokens {
+                            shards[home].note_steal();
                         }
+                        shards[victim].run_tokens(tokens);
+                        stole = true;
+                        break;
                     }
                 }
                 if stole || evicted > 0 {
@@ -250,22 +247,11 @@ fn spawn_pool_driver(
                     continue;
                 }
                 // The park predicate matches what this driver will run:
-                // any queue when stealing, only home otherwise (a
-                // foreign-queue wakeup would spin it fruitlessly).
-                let has_work = || {
-                    if work_stealing {
-                        shards.iter().any(|s| s.has_ready())
-                    } else {
-                        shards[home].has_ready()
-                    }
-                };
-                match idle_park {
-                    // Wall-clock idle aging: wake on a bounded timer even
-                    // with no traffic, so the sweep above still runs and
-                    // a silent store sheds its aged keys.
-                    Some(timeout) => group.park_timeout_unless(timeout, has_work),
-                    None => group.park_unless(has_work),
-                }
+                // any shard's ready keys. With wall-clock idle aging the
+                // park also wakes on a bounded timer even with no
+                // traffic, so the sweep above still runs and a silent
+                // store sheds its aged keys.
+                group.park_unless(idle_park, || shards.iter().any(|s| s.has_ready()));
             }
         })
         .expect("spawning a store driver thread")
@@ -274,19 +260,18 @@ fn spawn_pool_driver(
 impl Store {
     /// Starts the service: builds every shard and spawns the driver pool
     /// (one driver thread per shard; idle drivers steal ready keys from
-    /// loaded neighbors when work-stealing is enabled).
+    /// loaded neighbors).
     ///
     /// # Errors
     ///
-    /// Fails on an invalid configuration (no shards, zero batch, zero
+    /// Fails on an invalid configuration — any
+    /// [`StoreConfig::validate`] rejection (e.g. no shards, a zero
     /// history bound).
     pub fn start(config: StoreConfig) -> Result<Self, crate::config::StoreConfigError> {
         config.validate()?;
         let StoreConfig {
             shards: specs,
-            batch,
             history,
-            work_stealing,
             eviction,
             idle_wall_clock,
             // An in-process store ignores the listen section (validated
@@ -295,14 +280,9 @@ impl Store {
             recorder_capacity,
         } = config;
         let recorder = Arc::new(FlightRecorder::new(recorder_capacity));
-        // With stealing, any single driver can run any ready key, so a
-        // submission wakes one driver; without it, queues are disjoint
-        // and the wakeup must broadcast to reach the right driver.
-        let group = Arc::new(if work_stealing {
-            WorkGroup::new()
-        } else {
-            WorkGroup::new_broadcast()
-        });
+        // Any single driver can run any ready key, so a submission wakes
+        // one driver.
+        let group = Arc::new(WorkGroup::new());
         let shards: Vec<Arc<dyn ShardEngine>> = specs
             .iter()
             .enumerate()
@@ -310,7 +290,6 @@ impl Store {
                 shard::build(
                     spec,
                     shard::EngineParts {
-                        batch,
                         policy: history,
                         eviction,
                         idle_wall_clock,
@@ -323,13 +302,7 @@ impl Store {
             .collect();
         let drivers = (0..shards.len())
             .map(|home| {
-                spawn_pool_driver(
-                    home,
-                    shards.clone(),
-                    Arc::clone(&group),
-                    work_stealing,
-                    idle_wall_clock,
-                )
+                spawn_pool_driver(home, shards.clone(), Arc::clone(&group), idle_wall_clock)
             })
             .collect();
         Ok(Store {

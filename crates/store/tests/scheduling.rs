@@ -131,36 +131,6 @@ fn thieves_steal_half_a_hot_queue_in_one_batch() {
 }
 
 #[test]
-fn disabling_work_stealing_pins_keys_to_home_drivers() {
-    let store =
-        Store::start(StoreConfig::uniform(4, ProtocolSpec::Abd, reg()).with_work_stealing(false))
-            .unwrap();
-    let keys = keys_on_shard_zero(&store, 4);
-    let client = store.client();
-    for round in 0..10u64 {
-        let writes: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(k, key)| {
-                client.write(
-                    key,
-                    rsb_coding::Value::seeded(round * 100 + k as u64 + 1, 16),
-                )
-            })
-            .collect();
-        for out in join_all(writes) {
-            out.unwrap();
-        }
-    }
-    let m = store.metrics();
-    assert_eq!(m.totals().writes_completed, 40);
-    assert_eq!(m.totals().steals, 0, "stealing disabled");
-    assert_eq!(m.totals().stolen, 0, "stealing disabled");
-    check_key_histories(&store);
-    store.shutdown();
-}
-
-#[test]
 fn hot_spot_workload_with_stealing_stays_strongly_regular() {
     let store = Store::start(StoreConfig::uniform(4, ProtocolSpec::Adaptive, reg())).unwrap();
     let scenario = KeyedScenario::uniform(8, 30, 16, 0.5, 16, 4242).with_hot_spot(2, 0.8);
