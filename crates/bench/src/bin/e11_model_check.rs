@@ -19,7 +19,7 @@ use rsb_bench::{banner, print_table};
 use rsb_consistency::Condition;
 use rsb_fpsm::OpRequest;
 use rsb_mc::explore::{explore, write_op, ExploreConfig, ExploreReport};
-use rsb_mc::{sched, thread as vthread};
+use rsb_mc::{sched, sync as mc_sync, thread as vthread};
 use rsb_registers::{Abd, AbdAtomic, ReadyQueue, RegisterConfig, RegisterProtocol, Safe};
 use rsb_store::{FlightEventKind, FlightRecorder};
 use std::sync::{Arc, Mutex};
@@ -231,6 +231,73 @@ fn dirty_requeue_scenario() -> Result<sched::Report, sched::ModelError> {
     })
 }
 
+/// Per slot: a modelled ownership flag (every access a scheduling
+/// point, so other threads run inside an ownership interval), and
+/// (runs, dirty re-enqueues).
+type SlotLog = (Vec<mc_sync::AtomicBool>, Mutex<Vec<(u32, u32)>>);
+
+/// Runs an owned slot once and releases it, asserting no other thread
+/// owns it meanwhile and counting a dirty re-enqueue.
+fn run_owned(q: &ReadyQueue, log: &SlotLog, s: usize) {
+    // audit:allow(atomics-relaxed) — the modelled flag only marks the
+    // ownership interval; the harness serializes every access.
+    let twice = log.0[s].swap(true, mc_sync::Ordering::Relaxed);
+    assert!(!twice, "slot {s} owned by two threads at once");
+    log.1.lock().unwrap()[s].0 += 1;
+    // audit:allow(atomics-relaxed) — see the swap above.
+    log.0[s].store(false, mc_sync::Ordering::Relaxed);
+    if q.finish(s, false) {
+        log.1.lock().unwrap()[s].1 += 1;
+    }
+}
+
+/// A waiter's `claim` races a home `pop` (the root thread, which also
+/// re-enqueues the claimed slot), a thief's `pop_half` and the re-enqueue
+/// itself: no slot is owned twice, and each runs once plus once per
+/// dirty re-enqueue or fresh enqueue.
+fn claim_scenario() -> Result<sched::Report, sched::ModelError> {
+    sched::model(&harness_cfg(3), || {
+        let q = Arc::new(ReadyQueue::new());
+        for _ in 0..2 {
+            let s = q.register_slot();
+            q.enqueue(s);
+        }
+        let log: Arc<SlotLog> = Arc::new((
+            (0..2).map(|_| mc_sync::AtomicBool::new(false)).collect(),
+            Mutex::new(vec![(0, 0); 2]),
+        ));
+        let (qh, lh) = (Arc::clone(&q), Arc::clone(&log));
+        let helper = vthread::spawn(move || {
+            if qh.claim(0) {
+                run_owned(&qh, &lh, 0);
+            }
+        });
+        let (qt, lt) = (Arc::clone(&q), Arc::clone(&log));
+        let thief = vthread::spawn(move || {
+            for s in qt.pop_half() {
+                run_owned(&qt, &lt, s);
+            }
+        });
+        let fresh = u32::from(q.enqueue(0));
+        while let Some(s) = q.pop() {
+            run_owned(&q, &log, s);
+        }
+        helper.join().unwrap();
+        thief.join().unwrap();
+        while let Some(s) = q.pop() {
+            run_owned(&q, &log, s);
+        }
+        assert!(q.is_empty());
+        let counts = log.1.lock().unwrap();
+        assert_eq!(counts[1].0, 1, "slot 1 runs exactly once");
+        assert_eq!(
+            counts[0].0,
+            1 + counts[0].1 + fresh,
+            "slot 0 lost or re-ran"
+        );
+    })
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner(
@@ -331,6 +398,7 @@ fn main() {
         ("recorder ring wrap-around", recorder_wrap_scenario()),
         ("ready-queue steal-half", steal_half_scenario()),
         ("ready-queue dirty requeue", dirty_requeue_scenario()),
+        ("ready-queue claim vs pop/steal", claim_scenario()),
     ];
     let header = vec!["scenario", "schedules", "points", "complete", "verdict"];
     let mut table = Vec::new();

@@ -110,7 +110,8 @@ fn recorder_wraparound_skips_but_never_mixes() {
 }
 
 // ---------------------------------------------------------------------------
-// ReadyQueue: pop / pop_half stealing and the dirty-requeue protocol.
+// ReadyQueue: pop / pop_half stealing, caller-helps claims, and the
+// dirty-requeue protocol.
 // ---------------------------------------------------------------------------
 
 /// A home driver drains with `pop` while a thief grabs `pop_half`: at
@@ -217,5 +218,119 @@ fn ready_queue_dirty_requeue_never_loses_a_wakeup() {
         // audit:allow(atomics-relaxed) — outcome tally read after the
         // model run completes; the DPOR harness serializes the rest.
         twice.load(Ordering::Relaxed)
+    );
+}
+
+/// Per-slot bookkeeping of who runs what. `owned` flags are modelled
+/// atomics, so every access is a scheduling point: other threads run
+/// inside an ownership interval, and a second owner trips the swap.
+/// `counts` holds (runs, `finish` calls that re-enqueued the slot).
+struct Runs {
+    owned: Vec<rsb_mc::sync::AtomicBool>,
+    counts: StdMutex<Vec<(u32, u32)>>,
+}
+
+impl Runs {
+    fn new(slots: usize) -> Self {
+        Runs {
+            owned: (0..slots)
+                .map(|_| rsb_mc::sync::AtomicBool::new(false))
+                .collect(),
+            counts: StdMutex::new(vec![(0, 0); slots]),
+        }
+    }
+}
+
+/// Runs an owned slot once and releases it; returns whether `finish`
+/// re-enqueued it (it went dirty while owned).
+fn run_owned(q: &ReadyQueue, log: &Runs, s: usize) -> bool {
+    // audit:allow(atomics-relaxed) — the modelled flag only marks the
+    // ownership interval; the harness serializes every access.
+    let twice = log.owned[s].swap(true, Ordering::Relaxed);
+    assert!(!twice, "slot {s} owned by two threads at once");
+    log.counts.lock().unwrap()[s].0 += 1;
+    // Ownership ends at `finish`; no one can take the slot before it.
+    // audit:allow(atomics-relaxed) — see the swap above.
+    log.owned[s].store(false, Ordering::Relaxed);
+    let requeued = q.finish(s, false);
+    if requeued {
+        log.counts.lock().unwrap()[s].1 += 1;
+    }
+    requeued
+}
+
+/// A waiter's `claim` of its own key races a home driver's `pop`, a
+/// thief's `pop_half` and a concurrent re-enqueue of the claimed slot.
+/// No slot is ever owned twice; every slot runs exactly once, plus once
+/// more per dirty re-enqueue and per enqueue that found it idle. Across
+/// the explored schedules the claim both wins and loses, and a slot
+/// re-enqueued while claimed goes dirty and is re-run.
+#[test]
+fn ready_queue_claim_races_pop_steal_and_enqueue() {
+    let claimed_dirty = Arc::new(AtomicU64::new(0));
+    let claim_lost = Arc::new(AtomicU64::new(0));
+    let (dirty_in, lost_in) = (Arc::clone(&claimed_dirty), Arc::clone(&claim_lost));
+    let report = sched::model(&quick(3), move || {
+        let q = Arc::new(ReadyQueue::new());
+        for _ in 0..2 {
+            let s = q.register_slot();
+            q.enqueue(s);
+        }
+        let log = Arc::new(Runs::new(2));
+        let (qh, lh) = (Arc::clone(&q), Arc::clone(&log));
+        let helper = vthread::spawn(move || {
+            if qh.claim(0) {
+                Some(run_owned(&qh, &lh, 0))
+            } else {
+                None
+            }
+        });
+        let (qt, lt) = (Arc::clone(&q), Arc::clone(&log));
+        let thief = vthread::spawn(move || {
+            for s in qt.pop_half() {
+                run_owned(&qt, &lt, s);
+            }
+        });
+        // The root thread is the home driver: new work on the helper's
+        // key, racing its claim and run, then a `pop` drain.
+        let fresh = u32::from(q.enqueue(0));
+        while let Some(s) = q.pop() {
+            run_owned(&q, &log, s);
+        }
+        let claimed = helper.join().unwrap();
+        thief.join().unwrap();
+        // A dirty re-enqueue after the home drain saw an empty queue is
+        // drained by a late pass.
+        while let Some(s) = q.pop() {
+            run_owned(&q, &log, s);
+        }
+        assert!(q.is_empty());
+        let counts = log.counts.lock().unwrap();
+        assert_eq!(counts[1].0, 1, "slot 1 runs exactly once");
+        assert_eq!(
+            counts[0].0,
+            1 + counts[0].1 + fresh,
+            "slot 0 runs once, plus once per dirty re-enqueue or fresh enqueue"
+        );
+        match claimed {
+            // audit:allow(atomics-relaxed) — outcome tally read after the
+            // model run completes; the DPOR harness serializes the rest.
+            Some(true) => dirty_in.fetch_add(1, Ordering::Relaxed),
+            // audit:allow(atomics-relaxed) — outcome tally read after the
+            // model run completes; the DPOR harness serializes the rest.
+            None => lost_in.fetch_add(1, Ordering::Relaxed),
+            Some(false) => 0,
+        };
+    })
+    .expect("claim must never double-run or lose a slot");
+    assert!(report.complete, "schedule space must be exhausted");
+    // audit:allow(atomics-relaxed) — outcome tallies read after the model
+    // run completes; the DPOR harness serializes the rest.
+    let dirty = claimed_dirty.load(Ordering::Relaxed);
+    // audit:allow(atomics-relaxed) — see the load above.
+    let lost = claim_lost.load(Ordering::Relaxed);
+    assert!(
+        dirty > 0 && lost > 0,
+        "both a claim caught dirty ({dirty}) and a lost claim ({lost}) must occur"
     );
 }

@@ -1,18 +1,21 @@
 //! The store runtime's building blocks: the scheduling, parking and
 //! completion pieces the sharded store in `rsb-store` composes into its
-//! driver pool.
+//! caller-helps execution and its driver pool.
 //!
 //! * [`ReadyQueue`] — a queue of key slots with enabled simulator
 //!   events, so a driver does O(enabled) work instead of rescanning
-//!   every materialized key;
+//!   every materialized key; a thread waiting on an operation can also
+//!   [`claim`](ReadyQueue::claim) that operation's queued key and run it
+//!   itself, so a single operation need not cross threads;
 //! * [`WorkGroup`] — the rendezvous for the pool of driver threads
 //!   sharing those queues: lost-wakeup-free parking, and a stop request
 //!   every parked driver observes promptly;
 //! * [`RegisterCell`] — one key's simulation plus the completion slots
 //!   of its in-flight operations;
 //! * [`CompletionSlot`] — a per-operation completion cell a client can
-//!   either block on (condvar) or poll as a future (waker), filled by a
-//!   driver when the operation returns inside the simulation.
+//!   either block on (condvar) or poll as a future (waker), filled by
+//!   whichever thread runs the key when the operation returns inside the
+//!   simulation: a helping waiter or a driver.
 //!
 //! Asynchrony is real here: the interleaving of RMW applies/deliveries
 //! against invocations depends on OS scheduling — but safety never does
@@ -62,22 +65,25 @@ enum SlotState {
     Idle,
     /// In the queue, waiting for a driver.
     Queued,
-    /// Popped by a driver; the driver owns the slot until it finishes.
+    /// Popped by a driver (or claimed by a helper); the owner runs the
+    /// slot until it finishes.
     Running,
-    /// Popped by a driver, and new work arrived meanwhile — the finishing
-    /// driver must re-enqueue.
+    /// Owned, and new work arrived meanwhile — the finishing owner must
+    /// re-enqueue.
     RunningDirty,
 }
 
 /// A queue of key-slot tokens with enabled simulator events.
 ///
 /// Slots are small integers registered once per key; drivers [`pop`] a
-/// slot, step its simulation while *owning* it (a popped slot cannot be
-/// popped again until [`finish`]ed, which preserves per-key
-/// serialization even across stealing drivers), and re-enqueue it when
-/// more events remain or new work arrived during the run.
+/// slot and waiters [`claim`] their own, then step its simulation while
+/// *owning* it (an owned slot cannot be popped or claimed again until
+/// [`finish`]ed, which preserves per-key serialization across stealing
+/// drivers and helping waiters alike), and re-enqueue it when more
+/// events remain or new work arrived during the run.
 ///
 /// [`pop`]: ReadyQueue::pop
+/// [`claim`]: ReadyQueue::claim
 /// [`finish`]: ReadyQueue::finish
 #[derive(Debug, Default)]
 pub struct ReadyQueue {
@@ -104,8 +110,9 @@ impl ReadyQueue {
     }
 
     /// Marks a slot as having enabled work. Returns `true` when the slot
-    /// was newly enqueued (the caller should wake a driver); `false` when
-    /// it was already queued or a running driver will re-enqueue it.
+    /// was newly enqueued (the caller must see that it runs: wake a
+    /// driver, or claim it); `false` when it was already queued or its
+    /// running owner will re-enqueue it.
     pub fn enqueue(&self, slot: usize) -> bool {
         let mut inner = tracked_lock(ranks::READY_QUEUE, "ready_queue", || self.ready.lock());
         match inner.states[slot] {
@@ -152,9 +159,32 @@ impl ReadyQueue {
         slots
     }
 
-    /// Releases a popped slot. `more` reports whether the slot still has
-    /// enabled events; the slot is re-enqueued when `more` holds or work
-    /// arrived while it ran. Returns `true` if it was re-enqueued.
+    /// Claims one specific *queued* slot, transferring ownership to the
+    /// caller until [`ReadyQueue::finish`] — the caller-helps face of the
+    /// queue: a thread waiting on an operation takes that operation's
+    /// key instead of waiting for a driver to pop it. Returns `false`
+    /// and takes nothing unless the slot is queued: an idle slot has no
+    /// work, and a running one has an owner whose `finish` re-enqueues
+    /// it if work arrived meanwhile.
+    pub fn claim(&self, slot: usize) -> bool {
+        let mut inner = tracked_lock(ranks::READY_QUEUE, "ready_queue", || self.ready.lock());
+        if inner.states[slot] != SlotState::Queued {
+            return false;
+        }
+        // A waiter's own submission enqueued the slot, usually last.
+        let Some(at) = inner.queue.iter().rposition(|&s| s == slot) else {
+            debug_assert!(false, "a queued slot is in the queue");
+            return false;
+        };
+        inner.queue.remove(at);
+        inner.states[slot] = SlotState::Running;
+        true
+    }
+
+    /// Releases a popped or claimed slot. `more` reports whether the
+    /// slot still has enabled events; the slot is re-enqueued when `more`
+    /// holds or work arrived while it ran. Returns `true` if it was
+    /// re-enqueued.
     pub fn finish(&self, slot: usize, more: bool) -> bool {
         let mut inner = tracked_lock(ranks::READY_QUEUE, "ready_queue", || self.ready.lock());
         let requeue = more || inner.states[slot] == SlotState::RunningDirty;
@@ -290,10 +320,10 @@ struct SlotInner {
 
 /// A one-shot completion cell for a single emulated operation.
 ///
-/// The driver thread fills it exactly once; the submitting client either
-/// blocks on it ([`CompletionSlot::wait`]) or polls it from a hand-rolled
-/// future ([`CompletionSlot::poll_outcome`]) — both work without any async
-/// runtime.
+/// The thread running the key fills it exactly once; the submitting
+/// client either blocks on it ([`CompletionSlot::wait`]) or polls it from
+/// a hand-rolled future ([`CompletionSlot::poll_outcome`]) — both work
+/// without any async runtime.
 #[derive(Debug, Default)]
 pub struct CompletionSlot {
     inner: Mutex<SlotInner>,
@@ -321,6 +351,14 @@ impl CompletionSlot {
         if let Some(w) = waker {
             w.wake();
         }
+    }
+
+    /// Whether the slot has been filled — the cheap pre-check a waiter
+    /// makes before helping (no clone of the outcome).
+    pub fn is_filled(&self) -> bool {
+        tracked_lock(ranks::COMPLETION, "completion", || self.inner.lock())
+            .result
+            .is_some()
     }
 
     /// The outcome, if already filled.
@@ -506,6 +544,29 @@ mod tests {
     }
 
     #[test]
+    fn claim_takes_only_a_queued_slot() {
+        let q = ReadyQueue::new();
+        let slots: Vec<usize> = (0..3).map(|_| q.register_slot()).collect();
+        assert!(!q.claim(slots[0]), "an idle slot has no work to claim");
+        for &s in &slots {
+            assert!(q.enqueue(s));
+        }
+        // Claiming from the middle leaves the rest in order.
+        assert!(q.claim(slots[1]));
+        assert!(!q.claim(slots[1]), "an owned slot cannot be claimed twice");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some(slots[0]));
+        assert!(!q.claim(slots[0]), "a popped slot cannot be claimed");
+        // A claimed slot re-enqueued while owned goes dirty.
+        assert!(!q.enqueue(slots[1]));
+        assert!(q.finish(slots[1], false), "dirty slot re-enqueues");
+        assert!(!q.finish(slots[0], false));
+        assert_eq!(q.pop(), Some(slots[2]));
+        assert_eq!(q.pop(), Some(slots[1]));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
     fn park_unless_wakes_on_timeout_work_or_stop() {
         let group = Arc::new(WorkGroup::new());
         let start = std::time::Instant::now();
@@ -549,12 +610,14 @@ mod tests {
         let waker = Waker::from(Arc::clone(&flag));
         let mut cx = Context::from_waker(&waker);
         assert!(slot.poll_outcome(&mut cx).is_pending());
+        assert!(!slot.is_filled());
 
         let filler = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.fill(Ok(OpResult::Write)))
         };
         assert_eq!(slot.wait(), Ok(OpResult::Write));
+        assert!(slot.is_filled());
         filler.join().unwrap();
         // audit:allow(atomics-relaxed) — see the store in `wake`.
         assert!(flag.0.load(Ordering::Relaxed), "waker fired on fill");

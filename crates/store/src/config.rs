@@ -80,8 +80,9 @@ pub enum HistoryPolicy {
 /// How (and whether) the store reclaims memory from cold keys on its own.
 ///
 /// [`Store::evict_quiescent`](crate::Store::evict_quiescent) always
-/// works; a non-manual policy additionally makes the *driver pool* run
-/// the eviction machinery between batches — idle drivers sweep their
+/// works; a non-manual policy additionally makes the threads that run
+/// keys (the driver pool and helping waiters) run the eviction machinery
+/// between runs — a thread that finds the ready queue empty sweeps its
 /// shard, and an occupancy trigger fires on a single atomic comparison —
 /// so the paper's "bounded space" becomes a property the system
 /// maintains, at zero dedicated threads and without ever blocking a
@@ -91,13 +92,14 @@ pub enum EvictionPolicy {
     /// Reclamation happens only when the caller asks for it (default —
     /// the pre-governor behaviour).
     Manual,
-    /// An idle driver evicts keys that have been quiescent for at least
-    /// this many shard *ticks* (a tick is one submission or one driver
-    /// step batch on the shard — logical time, so tests and benches stay
-    /// deterministic-ish and wall-clock-free).
+    /// A driver or helper that finds the ready queue empty evicts keys
+    /// that have been quiescent for at least this many shard *ticks* (a
+    /// tick is one submission or one run of a key on the shard — logical
+    /// time, so tests and benches stay deterministic-ish and
+    /// wall-clock-free).
     IdleAfter(u64),
-    /// When a shard's live occupancy exceeds `bits`, idle-or-between-
-    /// batches drivers evict quiescent keys coldest-first until the
+    /// When a shard's live occupancy exceeds `bits`, drivers and helpers
+    /// evict quiescent keys coldest-first, between runs, until the
     /// shard is at or below `low_watermark` bits. Both bounds are
     /// per-shard (divide a store-wide budget by the shard count).
     OccupancyAbove {

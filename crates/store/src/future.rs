@@ -1,14 +1,22 @@
 //! Hand-rolled, executor-agnostic operation futures.
 //!
 //! [`ReadFuture`] / [`WriteFuture`] wrap the [`OpTicket`] a
-//! [`Transport`](crate::Transport) returned for the submission —
-//! a driver-filled [`CompletionSlot`](rsb_registers::CompletionSlot) on
-//! the loopback path, a TCP-reader-filled cell on the wire. They
-//! implement [`Future`] so any executor can await them, and each also
-//! offers a blocking `wait()` that parks on the underlying condvar — the
-//! tree is offline-vendored, so no tokio (or any runtime) is required
-//! anywhere. [`block_on`] is a minimal thread-parking executor for
-//! contexts with no runtime at all.
+//! [`Transport`](crate::Transport) returned for the submission — a
+//! [`CompletionSlot`](rsb_registers::CompletionSlot) on the loopback
+//! path, a TCP-reader-filled cell on the wire. They implement [`Future`]
+//! so any executor can await them, and each also offers a blocking
+//! `wait()` that parks on the underlying condvar — the tree is
+//! offline-vendored, so no tokio (or any runtime) is required anywhere.
+//! [`block_on`] is a minimal thread-parking executor for contexts with no
+//! runtime at all.
+//!
+//! On loopback, polling and waiting do work: before it checks the slot
+//! or parks, a loopback future runs its operation's key on the calling
+//! thread if no other thread has taken it yet, so the operation
+//! completes without a handoff to a store driver. A future's operation
+//! is therefore stepped when the future is first polled or waited on,
+//! not when it is created; a future dropped unpolled wakes a driver to
+//! run it.
 
 use crate::net::OpTicket;
 use crate::store::StoreError;

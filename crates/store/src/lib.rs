@@ -7,8 +7,10 @@
 //! from one [`RegisterProtocol`](rsb_registers::RegisterProtocol)
 //! emulation — ABD, safe, coded, or adaptive). Execution is
 //! *event-driven*: each shard keeps a ready queue of keys with enabled
-//! simulator events, keys live behind per-key locks, and a pool of
-//! *network-driver* threads (one per shard) runs ready keys — home shard
+//! simulator events, and keys live behind per-key locks. The thread
+//! waiting on an operation runs its key itself while the key is still
+//! queued (*caller helps*), and a pool of *network-driver* threads (one
+//! per shard) runs what no waiter takes — batches among it — home shard
 //! first, then stealing from loaded neighbors, so hot-key skew spreads
 //! across the pool instead of serializing one driver. Per-key history can
 //! be bounded with a [`HistoryPolicy`], and quiescent keys can be evicted
@@ -22,8 +24,9 @@
 //! [`TcpTransport`] (a versioned length-prefixed binary protocol over a
 //! std `TcpStream`, served by [`Store::serve`] / [`StoreServer`]).
 //! [`StoreClient::read`] / [`StoreClient::write`] return lightweight
-//! futures backed by transport completion cells (driver-filled condvar
-//! slots on loopback, reader-thread-filled cells over TCP) — no external
+//! futures backed by transport completion cells (condvar slots filled by
+//! whichever thread runs the key on loopback, reader-thread-filled cells
+//! over TCP) — no external
 //! async runtime is needed anywhere:
 //!
 //! * **async** — the futures implement [`std::future::Future`] and can be

@@ -324,8 +324,8 @@ impl AtomicCounters {
     }
 
     /// Records one completed op's phase split: time spent waiting for a
-    /// driver (submit → execute-start) and time inside the simulator
-    /// batch that delivered it (execute-start → completion). Every
+    /// thread to run its key (submit → execute-start) and time inside the
+    /// simulator batch that delivered it (execute-start → completion). Every
     /// completion records exactly one sample in each, so the phase
     /// histogram counts must agree with the end-to-end ones.
     pub(crate) fn note_phases(&self, queue_ns: u64, execute_ns: u64) {
@@ -506,7 +506,8 @@ pub struct ShardMetrics {
     pub read_remat_latency: LatencyHistogram,
     /// End-to-end latency of completed writes.
     pub write_latency: LatencyHistogram,
-    /// Per-op time from submit to execute-start (waiting for a driver);
+    /// Per-op time from submit to execute-start (waiting for a helping
+    /// waiter or a driver to run the key);
     /// one sample per completed op of either kind.
     pub queue_wait: LatencyHistogram,
     /// Per-op time inside the simulator batch that delivered the result

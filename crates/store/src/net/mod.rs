@@ -4,8 +4,10 @@
 //! Two implementations ship:
 //!
 //! * [`Loopback`] — the in-process path: submissions go straight onto
-//!   the store's shard engines and complete through the driver-filled
-//!   condvar slots of `rsb_registers::threaded`. Zero copies beyond the
+//!   the store's shard engines and complete through the condvar slots of
+//!   `rsb_registers::threaded`. The thread that waits on (or polls) an
+//!   operation runs that operation's key itself when it is still queued,
+//!   so a single operation need not cross threads. Zero copies beyond the
 //!   operation itself, fully deterministic and hermetic — what tier-1
 //!   tests and benches run against.
 //! * [`TcpTransport`] — the real wire: a versioned length-prefixed
@@ -27,6 +29,7 @@ pub use server::StoreServer;
 pub use tcp::TcpTransport;
 
 use crate::metrics::StoreMetrics;
+use crate::shard::{ShardEngine, Submitted};
 use crate::store::{BatchOp, StoreError, StoreInner};
 use rsb_coding::Value;
 use rsb_fpsm::{OpRequest, OpResult};
@@ -182,9 +185,10 @@ pub(crate) type OpCell = NetCell<Result<OpResult, StoreError>>;
 /// [`Transport::submit`] and wrapped by the client's
 /// [`ReadFuture`](crate::ReadFuture) / [`WriteFuture`](crate::WriteFuture).
 ///
-/// Transports construct tickets through [`OpTicket::from_slot`] (driver
-/// completion slots, the loopback path), [`OpTicket::failed`]
-/// (submission-time errors), or the crate-internal network variant.
+/// Transports construct tickets through [`OpTicket::failed`]
+/// (submission-time errors) or the crate-internal loopback and network
+/// variants. Dropping an unresolved loopback ticket wakes a store driver
+/// to run its operation, since no waiter will.
 #[derive(Debug)]
 pub struct OpTicket {
     pub(crate) inner: TicketInner,
@@ -192,8 +196,13 @@ pub struct OpTicket {
 
 #[derive(Debug)]
 pub(crate) enum TicketInner {
-    /// A driver-filled completion slot (loopback).
-    Slot(Arc<CompletionSlot>),
+    /// A completion slot on a loopback key: before polling or parking,
+    /// the waiter helps run the key (`token` on `shard`).
+    Slot {
+        slot: Arc<CompletionSlot>,
+        shard: Arc<dyn ShardEngine>,
+        token: usize,
+    },
     /// A transport-filled completion cell (TCP reader thread), with an
     /// optional blocking-wait timeout.
     Net {
@@ -205,10 +214,18 @@ pub(crate) enum TicketInner {
 }
 
 impl OpTicket {
-    /// A ticket backed by a driver completion slot.
-    pub fn from_slot(slot: Arc<CompletionSlot>) -> Self {
-        OpTicket {
-            inner: TicketInner::Slot(slot),
+    /// A ticket on a loopback submission's result: the completion slot
+    /// and the key token its waiter helps with.
+    fn loopback(shard: &Arc<dyn ShardEngine>, submitted: Result<Submitted, StoreError>) -> Self {
+        match submitted {
+            Ok((slot, token)) => OpTicket {
+                inner: TicketInner::Slot {
+                    slot,
+                    shard: Arc::clone(shard),
+                    token,
+                },
+            },
+            Err(e) => OpTicket::failed(e),
         }
     }
 
@@ -230,7 +247,12 @@ impl OpTicket {
         cx: &mut Context<'_>,
     ) -> Poll<Result<OpResult, StoreError>> {
         match &mut self.inner {
-            TicketInner::Slot(slot) => slot.poll_outcome(cx).map_err(StoreError::from),
+            TicketInner::Slot { slot, shard, token } => {
+                if !slot.is_filled() {
+                    shard.help(*token);
+                }
+                slot.poll_outcome(cx).map_err(StoreError::from)
+            }
             TicketInner::Net { cell, .. } => cell.poll(cx),
             TicketInner::Failed(err) => Poll::Ready(Err(err
                 .take()
@@ -244,22 +266,43 @@ impl OpTicket {
     /// Blocking wait. The configured per-operation timeout (TCP
     /// transports only) applies here; the async path has no timer and
     /// resolves whenever the transport delivers.
-    pub(crate) fn wait(self) -> Result<OpResult, StoreError> {
-        match self.inner {
-            TicketInner::Slot(slot) => slot.wait().map_err(StoreError::from),
+    pub(crate) fn wait(mut self) -> Result<OpResult, StoreError> {
+        match &mut self.inner {
+            TicketInner::Slot { slot, shard, token } => {
+                if !slot.is_filled() {
+                    shard.help(*token);
+                }
+                slot.wait().map_err(StoreError::from)
+            }
             TicketInner::Net { cell, timeout } => {
-                cell.wait(timeout).unwrap_or(Err(StoreError::Timeout))
+                cell.wait(*timeout).unwrap_or(Err(StoreError::Timeout))
             }
             // audit:allow(panic-path) — `Failed` tickets are built with
             // `Some(err)` and consumed by value here, so the error is present.
-            TicketInner::Failed(mut err) => Err(err.take().expect("freshly constructed")),
+            TicketInner::Failed(err) => Err(err.take().expect("freshly constructed")),
+        }
+    }
+}
+
+impl Drop for OpTicket {
+    /// A single loopback submission wakes no driver, because its waiter
+    /// runs it; a ticket dropped before its slot filled has no waiter
+    /// left, so it wakes a driver to run the key instead.
+    fn drop(&mut self) {
+        if let TicketInner::Slot { slot, shard, .. } = &self.inner {
+            if !slot.is_filled() {
+                shard.wake_driver();
+            }
         }
     }
 }
 
 /// The in-process transport: submissions go straight to the store's
-/// shard engines, completions come from the driver pool — exactly the
-/// pre-transport `StoreClient` path, unchanged in cost and semantics.
+/// shard engines, and the thread that waits on or polls an operation
+/// runs its key itself while the key is still queued — completing every
+/// operation in flight on it. The driver pool runs what no waiter took:
+/// batch keys, keys re-enqueued by work that arrived mid-run, and the
+/// keys of dropped tickets.
 ///
 /// Obtained from [`Store::client`](crate::Store::client) (or
 /// [`Store::loopback`](crate::Store::loopback)); clones share the store.
@@ -287,10 +330,7 @@ impl Transport for Loopback {
                 });
             }
         }
-        match shard.submit(key, req) {
-            Ok(slot) => OpTicket::from_slot(slot),
-            Err(e) => OpTicket::failed(e),
-        }
+        OpTicket::loopback(shard, shard.submit(key, req))
     }
 
     /// The grouped fast path: operations are bucketed by shard, then
@@ -330,12 +370,9 @@ impl Transport for Loopback {
                 indices.push(i);
                 batch.push((key, req));
             }
-            let results = self.inner.shards[shard_idx].submit_batch(batch);
-            for (i, result) in indices.into_iter().zip(results) {
-                tickets[i] = Some(match result {
-                    Ok(slot) => OpTicket::from_slot(slot),
-                    Err(e) => OpTicket::failed(e),
-                });
+            let shard = &self.inner.shards[shard_idx];
+            for (i, result) in indices.into_iter().zip(shard.submit_batch(batch)) {
+                tickets[i] = Some(OpTicket::loopback(shard, result));
             }
         }
         tickets

@@ -9,7 +9,9 @@
 //!   each returned [`OpTicket`](super::OpTicket) to the pump;
 //! * a **pump** that polls every in-flight ticket with a thread-unpark
 //!   waker and writes response frames as results land — out of order,
-//!   so a slow key never blocks a fast one's response.
+//!   so a slow key never blocks a fast one's response. Polling a
+//!   loopback ticket runs its key on the pump when no other thread has
+//!   taken it, so a single request is served without a driver handoff.
 //!
 //! Shutdown stops the accept loop (a self-connect unblocks it), shuts
 //! down every live connection socket (unblocking the readers), and

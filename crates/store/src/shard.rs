@@ -9,20 +9,25 @@
 //! behind *per-key* locks (the shard map lock covers only placement and
 //! lifecycle), and a popped slot is owned by exactly one driver until it
 //! finishes — which is what lets an idle driver of another shard *steal*
-//! a ready key and step it without breaking per-key serialization.
+//! a ready key and step it without breaking per-key serialization. The
+//! same ownership lets the thread waiting on an operation *help*: it
+//! claims its key while the key is still queued and runs it itself,
+//! completing every operation in flight on the key, so a single
+//! operation need not cross threads.
 //!
 //! On top of the same per-key lifecycle, a [`HistoryPolicy`] bounds each
 //! register's `OpRecord` history (compaction keeps the frontier writes
 //! the consistency checkers need), and a quiescent key can be *evicted*
 //! to a [`SimSnapshot`] and rematerialized on its next operation.
 //!
-//! Eviction is *governed*: an [`EvictionPolicy`] makes the driver pool
-//! itself run the reclamation — idle drivers sweep their shard for keys
-//! quiescent past the idle threshold, and an occupancy trigger (one
-//! atomic comparison against an incrementally-maintained per-shard
-//! live-bits counter) evicts coldest-first down to a low watermark — so
-//! bounded space holds under sustained traffic with zero dedicated
-//! threads and without ever blocking a ready key.
+//! Eviction is *governed*: an [`EvictionPolicy`] makes the threads that
+//! run keys (drivers and helping waiters) run the reclamation too — they
+//! sweep their shard for keys quiescent past the idle threshold when its
+//! queue is empty, and an occupancy trigger (one atomic comparison
+//! against an incrementally-maintained per-shard live-bits counter)
+//! evicts coldest-first down to a low watermark — so bounded space holds
+//! under sustained traffic with zero dedicated threads and without ever
+//! blocking a ready key.
 
 use crate::config::ShardSpec;
 use crate::config::{EvictionPolicy, HistoryPolicy, ProtocolSpec};
@@ -168,22 +173,42 @@ impl<P: RegisterProtocol + 'static> KeySlot<P> {
     }
 }
 
-/// The object-safe surface the store (and its work-stealing driver pool)
-/// drives a shard through.
+/// An accepted submission: the operation's completion slot and its
+/// key's ready-queue token (what a waiter hands to [`ShardEngine::help`]).
+pub(crate) type Submitted = (Arc<CompletionSlot>, usize);
+
+/// The object-safe surface the store (its helping waiters and its
+/// work-stealing driver pool) drives a shard through.
 pub(crate) trait ShardEngine: Send + Sync {
-    /// Submits one operation on a key, returning its completion slot.
-    fn submit(&self, key: &str, req: OpRequest) -> Result<Arc<CompletionSlot>, StoreError>;
+    /// Submits one operation on a key, returning its completion slot and
+    /// the key's token. The key is enqueued but no driver is woken: the
+    /// op's waiter runs it through [`ShardEngine::help`], and a ticket
+    /// dropped unfilled wakes a driver instead
+    /// ([`ShardEngine::wake_driver`]). Only an op that another thread's
+    /// run completed before its key was enqueued wakes a driver, which
+    /// drains the queue entry no waiter will claim.
+    fn submit(&self, key: &str, req: OpRequest) -> Result<Submitted, StoreError>;
 
     /// Submits a whole batch of operations in one pass: placement for
     /// every key under a single map-lock hold, one key-lock acquisition
     /// per distinct key (however many ops land on it), and one driver
-    /// wakeup for the entire batch. Returns one completion slot (or
-    /// error) per op, in submission order — per-op failures never poison
-    /// their batchmates.
-    fn submit_batch(
-        &self,
-        ops: Vec<(String, OpRequest)>,
-    ) -> Vec<Result<Arc<CompletionSlot>, StoreError>>;
+    /// wakeup for the entire batch (the pool runs batch keys alongside
+    /// their helping waiters). Returns one completion slot and key token
+    /// (or error) per op, in submission order — per-op failures never
+    /// poison their batchmates.
+    fn submit_batch(&self, ops: Vec<(String, OpRequest)>) -> Vec<Result<Submitted, StoreError>>;
+
+    /// Runs one key on the calling thread if it is still queued (the
+    /// caller-helps path: a waiter runs its own operation's key instead
+    /// of handing it to a driver), then does a driver's post-run duties:
+    /// the occupancy-governor check, the idle sweep when the queue is
+    /// empty, and a driver wakeup when the run left the key re-enqueued.
+    /// A no-op once the store stopped or when the key is idle or owned
+    /// by another thread.
+    fn help(&self, token: usize);
+
+    /// Wakes one parked driver, for a queued key whose waiter is gone.
+    fn wake_driver(&self);
 
     /// Pops one ready key and drains its enabled events (the home
     /// driver's path). Returns whether any key was run.
@@ -533,8 +558,9 @@ where
     /// a single lock hold ([`RegisterCell::step_all`]) — coalesced
     /// stepping. Draining the whole key costs one exec-start stamp, one
     /// completion flush, one history pass, and one tick however large
-    /// the backlog.
-    fn run_token(&self, token: usize) {
+    /// the backlog. Returns whether the key was re-enqueued (work arrived
+    /// while it ran).
+    fn run_token(&self, token: usize) -> bool {
         let key_slot =
             Arc::clone(&tracked_lock(ranks::SLOT_TABLE, "slot_table", || self.slots.read())[token]);
         let mut more = false;
@@ -562,9 +588,10 @@ where
                 self.account_occupancy(&key_slot, &state);
             }
         }
-        // Re-enqueueing without a notify is safe: the finishing driver is
-        // awake, and a parking driver re-checks every queue first.
-        self.ready.finish(token, more);
+        // A finishing driver re-enqueues without a notify (it is awake,
+        // and a parking driver re-checks every queue first); a helper
+        // notifies on the returned flag.
+        self.ready.finish(token, more)
     }
 }
 
@@ -572,7 +599,7 @@ impl<P: RegisterProtocol + Send + Sync + 'static> ShardEngine for ShardCore<P>
 where
     P::Object: Clone,
 {
-    fn submit(&self, key: &str, req: OpRequest) -> Result<Arc<CompletionSlot>, StoreError> {
+    fn submit(&self, key: &str, req: OpRequest) -> Result<Submitted, StoreError> {
         let started = Instant::now();
         // Fast-path reject; the *authoritative* stop check happens under
         // the key lock below, ordered against the shutdown sweep.
@@ -610,19 +637,20 @@ where
             self.account_occupancy(&key_slot, &state);
             slot
         };
-        // Out of every lock: publish the key to the ready queue and wake
-        // a driver. (A racing stop at this point is harmless: the sweep
+        // Out of every lock: publish the key to the ready queue, waking
+        // nobody — the op's waiter helps it through. But a thread that
+        // ran the key between our key-lock release and this enqueue has
+        // already completed the op: its waiter will not help, so a newly
+        // queued key would sit in the queue forever unless a driver
+        // drains it. (A racing stop at this point is harmless: the sweep
         // above already failed the slot, and the queue is dead.)
-        if self.ready.enqueue(token) {
+        if self.ready.enqueue(token) && slot.is_filled() {
             self.group.notify();
         }
-        Ok(slot)
+        Ok((slot, token))
     }
 
-    fn submit_batch(
-        &self,
-        ops: Vec<(String, OpRequest)>,
-    ) -> Vec<Result<Arc<CompletionSlot>, StoreError>> {
+    fn submit_batch(&self, ops: Vec<(String, OpRequest)>) -> Vec<Result<Submitted, StoreError>> {
         let started = Instant::now();
         let n = ops.len();
         // Fast-path reject; the authoritative stop check happens per key
@@ -643,7 +671,7 @@ where
         // Submit key group by key group: every op sharing a key runs
         // under one key-lock hold with one activity stamp and one
         // occupancy re-measure for the lot.
-        let mut results: Vec<Option<Result<Arc<CompletionSlot>, StoreError>>> =
+        let mut results: Vec<Option<Result<Submitted, StoreError>>> =
             (0..n).map(|_| None).collect();
         let mut wake = false;
         for i in 0..n {
@@ -664,7 +692,10 @@ where
                     continue;
                 }
                 let req = reqs[j].take().expect("each op submitted once");
-                results[j] = Some(self.submit_on_cell(kc, rematerialized, req, started));
+                results[j] = Some(
+                    self.submit_on_cell(kc, rematerialized, req, started)
+                        .map(|slot| (slot, token)),
+                );
                 // Only the group's first op paid the rematerialization.
                 rematerialized = false;
             }
@@ -683,8 +714,8 @@ where
             wake |= self.ready.enqueue(token);
         }
         // One wakeup for the whole batch: a single driver drains the
-        // enqueued keys (or neighbors steal them), instead of N notify
-        // round-trips.
+        // enqueued keys (or neighbors steal them) alongside the waiters
+        // helping their own, instead of N notify round-trips.
         if wake {
             self.group.notify();
         }
@@ -692,6 +723,29 @@ where
             .into_iter()
             .map(|r| r.expect("every op visited"))
             .collect()
+    }
+
+    fn help(&self, token: usize) {
+        if self.group.is_stopped() || !self.ready.claim(token) {
+            return;
+        }
+        let requeued = self.run_token(token);
+        // Work arrived while the key ran; a driver takes it from here.
+        if requeued {
+            self.group.notify();
+        }
+        // The driver loop's duties, which parked drivers no longer see
+        // for helped keys: the O(1) occupancy trigger, else the idle
+        // sweep once nothing is queued.
+        if self.wants_governing() {
+            self.govern(false);
+        } else if !requeued && self.ready.is_empty() {
+            self.govern(true);
+        }
+    }
+
+    fn wake_driver(&self) {
+        self.group.notify();
     }
 
     fn run_ready(&self) -> bool {
@@ -967,6 +1021,14 @@ where
 
     fn protocol_name(&self) -> &'static str {
         self.name
+    }
+}
+
+impl std::fmt::Debug for dyn ShardEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardEngine")
+            .field("protocol", &self.protocol_name())
+            .finish_non_exhaustive()
     }
 }
 

@@ -189,18 +189,23 @@ impl std::fmt::Debug for Store {
 /// first loaded victim's queue in one batched pass
 /// ([`ShardEngine::steal_batch`]) — and parks on the group,
 /// re-checking every queue under the group lock, when the whole store is
-/// idle. Wakeups come from submissions ([`WorkGroup::notify`]) and
-/// shutdown ([`WorkGroup::request_stop`]), and the lock-ordered re-check
-/// makes both race-free. The park is untimed unless wall-clock idle
-/// aging is configured, in which case it is bounded by the configured
-/// age so a silent store still runs its eviction sweep.
+/// idle. Single loopback operations rarely reach a driver: their waiters
+/// run their keys ([`ShardEngine::help`]). Wakeups
+/// ([`WorkGroup::notify`]) come from batch submissions, from a helper
+/// whose key was re-enqueued while it ran, from a loopback ticket
+/// dropped unresolved, and from shutdown ([`WorkGroup::request_stop`]);
+/// the lock-ordered re-check makes all of them race-free. The park is
+/// untimed unless wall-clock idle aging is configured, in which case it
+/// is bounded by the configured age so a silent store still runs its
+/// eviction sweep.
 ///
 /// The driver is also the home shard's *eviction governor*: a cheap
 /// occupancy check runs every iteration (so an `OccupancyAbove` policy
 /// reclaims even under sustained traffic, one bounded pass between
-/// batches), and the idle-time sweep runs when the home queue drains —
-/// reclamation costs zero dedicated threads and never blocks a ready
-/// key.
+/// batches), and the idle-time sweep runs when the home queue drains.
+/// A helping waiter runs the same two checks after each key it runs, so
+/// governance holds while the drivers are parked — reclamation costs
+/// zero dedicated threads and never blocks a ready key.
 fn spawn_pool_driver(
     home: usize,
     shards: Vec<Arc<dyn ShardEngine>>,

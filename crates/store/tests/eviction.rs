@@ -1,6 +1,7 @@
-//! The eviction governor: policy-driven reclamation by the driver pool,
-//! counter consistency across evict→rematerialize→compact cycles, and
-//! the eviction-vs-shutdown races.
+//! The eviction governor: policy-driven reclamation by the threads that
+//! run keys (driver pool and helping waiters), counter consistency
+//! across evict→rematerialize→compact cycles, and the
+//! eviction-vs-shutdown races.
 
 use rsb_coding::Value;
 use rsb_registers::RegisterConfig;
@@ -19,8 +20,8 @@ fn config(shards: usize, protocol: ProtocolSpec) -> StoreConfig {
 }
 
 /// Polls the metrics until `pred` holds or the deadline passes — the
-/// governor runs on driver threads, so tests wait for it instead of
-/// assuming scheduling.
+/// governor runs on driver and helping client threads, so tests wait for
+/// it instead of assuming scheduling.
 fn wait_for(store: &Store, pred: impl Fn(&StoreMetrics) -> bool) -> StoreMetrics {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -191,6 +192,42 @@ fn occupancy_policy_holds_the_low_watermark() {
         );
     }
     assert!(store.metrics().totals().rematerialized > 0);
+    store.shutdown();
+}
+
+/// Single ops wake no driver (each waiter runs its own key), so the
+/// occupancy trigger must also fire on the helping thread: with the
+/// drivers parked and no batch traffic, `write_blocking` alone still
+/// evicts.
+#[test]
+fn occupancy_governor_runs_on_single_op_traffic() {
+    let store = Store::start(config(2, ProtocolSpec::Abd).with_eviction(
+        EvictionPolicy::OccupancyAbove {
+            bits: 1,
+            low_watermark: 0,
+        },
+    ))
+    .unwrap();
+    // Let the drivers park first, so no driver runs these keys.
+    std::thread::sleep(Duration::from_millis(50));
+    let client = store.client();
+    for i in 0..16u64 {
+        client
+            .write_blocking(&format!("s{}", i % 8), Value::seeded(i + 1, VALUE_LEN))
+            .unwrap();
+    }
+    let m = wait_for(&store, |m| m.totals().evicted_occupancy > 0);
+    assert!(
+        m.totals().evicted_occupancy > 0,
+        "single-op traffic never triggered the occupancy governor"
+    );
+    for i in 8..16u64 {
+        assert_eq!(
+            client.read_blocking(&format!("s{}", i % 8)).unwrap(),
+            Value::seeded(i + 1, VALUE_LEN),
+            "governed eviction must not lose writes"
+        );
+    }
     store.shutdown();
 }
 
@@ -372,6 +409,9 @@ fn governor_racing_shutdown_never_loses_a_completion() {
                     })
                 })
                 .collect();
+            // Halt mid-traffic, not before the client threads first get
+            // a CPU (which a loaded host can delay past the sleep).
+            wait_for(&store, |m| m.totals().writes_completed > 0);
             std::thread::sleep(Duration::from_millis(3 + round));
             store.halt();
             for c in clients {

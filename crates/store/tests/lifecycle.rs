@@ -4,6 +4,7 @@
 use rsb_coding::Value;
 use rsb_registers::RegisterConfig;
 use rsb_store::{block_on, join_all, ProtocolSpec, Store, StoreConfig, StoreError};
+use std::time::{Duration, Instant};
 
 fn store(shards: usize, protocol: ProtocolSpec) -> Store {
     let reg = RegisterConfig::paper(1, 2, 16).unwrap();
@@ -79,6 +80,29 @@ fn shutdown_with_ops_in_flight_resolves_every_future() {
             Err(other) => panic!("unexpected error after shutdown: {other}"),
         }
     }
+}
+
+#[test]
+fn dropped_unpolled_loopback_future_still_completes() {
+    // A single op wakes no driver: its waiter runs the key. A future
+    // dropped without ever being polled has no waiter, so dropping it
+    // must wake a driver to run the op.
+    let s = store(2, ProtocolSpec::Abd);
+    let client = s.client();
+    // Let the drivers park first, so only the drop can wake one.
+    std::thread::sleep(Duration::from_millis(50));
+    let v = Value::seeded(9, 16);
+    drop(client.write("orphan", v.clone()));
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while s.metrics().totals().writes_completed == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the dropped write never completed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(client.read_blocking("orphan").unwrap(), v);
+    s.shutdown();
 }
 
 #[test]

@@ -8,6 +8,7 @@ use rsb_store::{
     join_all, BatchOp, FlightEventKind, HistoryPolicy, ProtocolSpec, Store, StoreConfig,
 };
 use rsb_workloads::{KeyedAction, KeyedScenario};
+use std::time::{Duration, Instant};
 
 fn reg() -> RegisterConfig {
     RegisterConfig::paper(1, 2, 16).unwrap()
@@ -29,6 +30,17 @@ fn keys_on_shard_zero(store: &Store, count: usize) -> Vec<String> {
     keys
 }
 
+/// Waits (for at most 5 s) until no shard has a queued key. A waiter
+/// runs its own op's key if it is still queued, so the stealing tests
+/// wait here before touching their futures: every key of the batch then
+/// ran on a driver — the path they measure — not on the waiting thread.
+fn wait_until_drained(store: &Store) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while store.metrics().shards.iter().any(|s| s.ready_keys > 0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
 fn check_key_histories(store: &Store) {
     for key in store.keys() {
         let h = store.key_history(&key).unwrap();
@@ -45,18 +57,21 @@ fn idle_drivers_steal_from_a_hot_shard() {
     let client = store.client();
     // Deep pipelining onto shard 0 only: its ready queue stays populated
     // while shards 1–3 are empty, so their drivers' only possible work
-    // is stolen from shard 0.
+    // is stolen from shard 0. Batches wake the pool; single ops would be
+    // run by their waiter instead.
     for round in 0..40u64 {
-        let writes: Vec<_> = keys
-            .iter()
-            .enumerate()
-            .map(|(k, key)| {
-                client.write(
-                    key,
-                    rsb_coding::Value::seeded(round * 100 + k as u64 + 1, 16),
-                )
-            })
-            .collect();
+        let writes = client.submit_batch(
+            keys.iter()
+                .enumerate()
+                .map(|(k, key)| {
+                    BatchOp::Write(
+                        key.clone(),
+                        rsb_coding::Value::seeded(round * 100 + k as u64 + 1, 16),
+                    )
+                })
+                .collect(),
+        );
+        wait_until_drained(&store);
         for out in join_all(writes) {
             out.unwrap();
         }
@@ -101,6 +116,7 @@ fn thieves_steal_half_a_hot_queue_in_one_batch() {
                 })
                 .collect(),
         );
+        wait_until_drained(&store);
         for f in futures {
             f.wait().unwrap();
         }
@@ -127,6 +143,40 @@ fn thieves_steal_half_a_hot_queue_in_one_batch() {
         batch_steal.detail
     );
     check_key_histories(&store);
+    store.shutdown();
+}
+
+#[test]
+fn racing_single_ops_on_fresh_keys_leave_every_ready_queue_drained() {
+    // Two threads write each fresh key at the same moment, then help, and
+    // no later traffic touches the key: whatever queue entry the race
+    // leaves must be drained by a waiter or a driver. (One waiter's run
+    // can complete the other thread's op before that op enqueues its
+    // key; `submit` then wakes a driver. That window is a few
+    // instructions wide, so this checks the drained end state rather
+    // than forcing the race.)
+    const KEYS: u64 = 1000;
+    let store = Store::start(StoreConfig::uniform(2, ProtocolSpec::Abd, reg())).unwrap();
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (client, barrier) = (store.client(), &barrier);
+            s.spawn(move || {
+                for k in 0..KEYS {
+                    barrier.wait();
+                    let v = rsb_coding::Value::seeded(t * KEYS + k + 1, 16);
+                    client.write_blocking(&format!("race-{k}"), v).unwrap();
+                }
+            });
+        }
+    });
+    wait_until_drained(&store);
+    let m = store.metrics();
+    assert_eq!(m.totals().writes_completed, 2 * KEYS);
+    assert!(
+        m.shards.iter().all(|s| s.ready_keys == 0),
+        "a key was left queued with no waiter and no driver to run it"
+    );
     store.shutdown();
 }
 

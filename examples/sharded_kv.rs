@@ -1,8 +1,9 @@
 //! The sharded store's async client surface, with no async runtime.
 //!
 //! `rsb-store` partitions a keyspace over shards of per-key register
-//! emulations, executed by a pool of work-stealing driver threads off
-//! per-shard ready queues. `StoreClient::read/write` return plain
+//! emulations, run off per-shard ready queues by the thread waiting on
+//! an operation (or, for batches, a pool of work-stealing driver
+//! threads). `StoreClient::read/write` return plain
 //! `std::future::Future`s backed by condvar completion slots, so they
 //! work from any executor — here the bundled `block_on` / `join_all` —
 //! and each future also has a blocking `.wait()`. Client handles are
@@ -33,7 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     block_on(client.write("user:alice", Value::seeded(1, 64)))?;
 
     // A pipelined batch: 32 writes in flight at once on one thread —
-    // the shard drivers work them concurrently.
+    // polling each future runs its key on this thread, completing every
+    // write in flight on that key.
     let writes: Vec<_> = (0..32u64)
         .map(|i| client.write(&format!("user:{i:03}"), Value::seeded(i + 10, 64)))
         .collect();
